@@ -63,7 +63,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated cluster member addresses (enables PULLC/QWINC fan-in)")
 	nodeID := flag.String("node-id", "", "this node's own entry in -peers (defaults to -addr)")
 	peerTimeout := flag.Duration("peer-timeout", server.DefaultPeerTimeout, "per-peer read timeout during cluster fan-in")
-	peerRetries := flag.Int("peer-retries", 1, "per-peer re-dials after a failed fan-in read")
+	peerRetries := flag.Int("peer-retries", 1, "per-peer retry attempts after a failed fan-in read")
 	grace := flag.Duration("grace", 5*time.Second, "in-flight connection grace period on shutdown")
 	flag.Parse()
 

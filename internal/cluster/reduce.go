@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/codec"
 	"repro/internal/mergetree"
 	"repro/internal/registry"
 )
@@ -63,12 +64,16 @@ func Reduce(frames [][]byte) (*registry.Entry, any, error) {
 // ReduceEncoded is Reduce re-encoded: the fan-in answer as a wire
 // frame plus its kind name, the shape a PULL-style reply needs.
 func ReduceEncoded(frames [][]byte) (string, []byte, error) {
-	// One frame needs no decode/merge/encode round-trip at all: the
-	// peer's snapshot is already the answer.
+	// One frame needs no decode/merge/encode round-trip: the peer's
+	// snapshot is already the answer once its frame checks out (header,
+	// length and CRC), so a corrupt peer frame is never relayed as OK.
 	if len(frames) == 1 {
 		ent, err := registry.FromFrame(frames[0])
 		if err != nil {
 			return "", nil, err
+		}
+		if _, err := codec.DecodeFrame(ent.Kind(), frames[0]); err != nil {
+			return "", nil, fmt.Errorf("cluster: checking frame 1/1 (%s): %w", ent.Name(), err)
 		}
 		return ent.Name(), frames[0], nil
 	}

@@ -59,6 +59,23 @@ func TestReduceEncodedSingleFramePassthrough(t *testing.T) {
 	}
 }
 
+// TestReduceEncodedSingleFrameChecksCRC: the one-frame shortcut still
+// checks the frame, so a peer frame with a flipped payload byte is an
+// error, not a relayed answer.
+func TestReduceEncodedSingleFrameChecksCRC(t *testing.T) {
+	for _, ent := range registry.Entries() {
+		f, err := ent.Encode(ent.Example(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := bytes.Clone(f)
+		bad[len(bad)-5] ^= 0x40 // last payload byte; header and CRC intact
+		if _, _, err := ReduceEncoded([][]byte{bad}); err == nil {
+			t.Fatalf("%s: single CRC-corrupt frame passed through", ent.Name())
+		}
+	}
+}
+
 // TestReduceErrors covers the failure paths: no frames, a garbage
 // first frame, and a mixed-kind batch (the second frame's kind check
 // must fail the whole reduction, not silently misparse).

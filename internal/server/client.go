@@ -34,17 +34,21 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return newClient(conn), nil
 }
 
-// DialTimeout is Dial with a connect timeout, for callers (the peer
-// fan-out, cluster clients) that must not block on a dead address.
+// DialTimeout is Dial with a connect timeout, for callers (cluster
+// clients) that must not block on a dead address.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
 }
 
 // SetDeadline bounds every subsequent read and write on the

@@ -22,10 +22,20 @@ import (
 // list, returning the list (peer order) and the live servers.
 func startPeerCluster(t *testing.T, n int, timeout time.Duration, retries int) ([]string, []*Server, func()) {
 	t.Helper()
+	return startPeerClusterWith(t, n, timeout, retries, nil)
+}
+
+// startPeerClusterWith is startPeerCluster with setup applied to every
+// server before it listens.
+func startPeerClusterWith(t *testing.T, n int, timeout time.Duration, retries int, setup func(*Server)) ([]string, []*Server, func()) {
+	t.Helper()
 	servers := make([]*Server, n)
 	addrs := make([]string, n)
 	for i := range servers {
 		servers[i] = New()
+		if setup != nil {
+			setup(servers[i])
+		}
 		addr, err := servers[i].Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -542,5 +552,42 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if _, ok := m["window.epoch"]; ok {
 		t.Fatal("window metrics served outside windowed mode")
+	}
+
+	// Peer mode: two PULLCs over an unchanged peer dial once, reuse the
+	// pooled connection once, and reduce once.
+	addrs, _, stopPeers := startPeerCluster(t, 2, 2*time.Second, 1)
+	defer stopPeers()
+	pc, err := Dial(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushMG(t, pc, "m2", 1, 3)
+	pc.Close()
+	c0, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	for i := 0; i < 2; i++ {
+		if _, _, err := c0.PullClusterFrame("m2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, err = c0.Metrics(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{
+		"peer.count": 2, "peer.fanouts": 2, "peer.ok": 4, "peer.errors": 0, "peer.retries": 0,
+		"peer.dials": 1, "peer.reused": 1, "peer.stale_redials": 0,
+		"fanin.memo_hits": 1, "fanin.memo_misses": 1,
+	}
+	for name, v := range want {
+		got, ok := m[name]
+		if !ok {
+			t.Errorf("METRICS row %s missing in peer mode", name)
+		} else if got != v {
+			t.Errorf("%s = %d, want %d", name, got, v)
+		}
 	}
 }

@@ -94,6 +94,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,6 +162,15 @@ type Server struct {
 	fanPeerErr atomic.Uint64 // per-peer reads that failed after retries
 	fanRetries atomic.Uint64 // per-peer retry attempts
 
+	// persistent peer connections and the fan-in reduce memo, with
+	// their counters (METRICS peer.dials/reused/stale_redials and
+	// fanin.memo_hits/misses).
+	pool             peerPool
+	memo             reduceMemo
+	peerDials        atomic.Uint64 // fresh peer connections dialed
+	peerReused       atomic.Uint64 // peer reads over a pooled connection
+	peerStaleRedials atomic.Uint64 // free redials after a stale pooled connection
+
 	// winOrigin is the wall-clock instant epoch 1 began (Serve time on
 	// windowed servers), unix nanoseconds; 0 until serving. With
 	// winTick it is the epoch↔wall-clock mapping METRICS reports and
@@ -175,6 +185,14 @@ type Server struct {
 	// connections) while in-flight connections keep being served until
 	// the grace period ends.
 	draining atomic.Bool
+	// drainAt is when, during a drain, connections idle between
+	// commands are closed (unix ns; 0 when not draining).
+	drainAt atomic.Int64
+
+	// connMu guards conns, every open connection's handler state, so
+	// Shutdown and Close can reach the ones waiting for a command.
+	connMu sync.Mutex
+	conns  map[*connState]struct{}
 
 	ln     net.Listener
 	loopWg sync.WaitGroup // ticker goroutines, exit on closed
@@ -242,10 +260,12 @@ func (s *Server) Serve() error {
 	}
 }
 
-// Close stops accepting and waits for nothing: in-flight connections
-// are abandoned to finish on their own and roll-up planes are closed
-// so their background workers exit; sealed segments stay queryable
-// until the server is dropped. For an orderly drain use Shutdown.
+// Close stops accepting and waits for nothing: connections idle
+// between commands are closed, in-flight ones are abandoned to finish
+// their command on their own, idle peer connections are closed, and
+// roll-up planes are closed so their background workers exit; sealed
+// segments stay queryable until the server is dropped. For an orderly
+// drain use Shutdown.
 func (s *Server) Close() {
 	select {
 	case <-s.closed:
@@ -255,21 +275,31 @@ func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
+	s.kickIdle(time.Now())
+	s.pool.close()
 	s.CloseSlots()
 }
 
 // Shutdown drains the server gracefully: it stops accepting new
 // connections, absorbs every slot's lane-parked ingest, seals the live
-// window epoch (windowed servers), then waits up to grace for
-// in-flight connections to finish before closing everything. After the
-// drain the node's serveable state contains every push a reply ever
+// window epoch (windowed servers), then waits up to grace for open
+// connections to finish before closing everything. After the drain the
+// node's serveable state contains every push a reply ever
 // acknowledged — a final PULL equals the pre-shutdown state.
+//
+// Open connections get drainIdle to send their next command; one still
+// idle between commands after that is closed, so a client's (or a
+// peer's pooled) idle connection cannot hold the drain open for the
+// whole grace period. A command in flight still finishes within grace.
 func (s *Server) Shutdown(grace time.Duration) {
 	s.draining.Store(true)
 	if s.ln != nil {
 		s.ln.Close() // stop accepting; Serve returns nil
 	}
 	s.Drain()
+	at := time.Now().Add(drainIdle)
+	s.drainAt.Store(at.UnixNano())
+	s.kickIdle(at)
 	done := make(chan struct{})
 	go func() {
 		s.connWg.Wait()
@@ -317,15 +347,128 @@ func (s *Server) flushLoop() {
 	}
 }
 
+// drainIdle is how long into a drain a connection may sit idle
+// between commands before Shutdown closes it: long enough for an open
+// client's final command, short against a typical grace period.
+const drainIdle = 500 * time.Millisecond
+
+// Connection handler states. A handler is idle while it waits for a
+// command line and busy while it serves one. kicking is the brief
+// window in which an idle connection's read deadline is being armed
+// (by Shutdown, Close or a draining handler itself); the handler waits
+// it out before turning busy, so no such deadline ever lands on a
+// command in flight.
+const (
+	connIdle int32 = iota
+	connBusy
+	connKicking
+)
+
+// connState is one open connection's handler state.
+type connState struct {
+	conn  net.Conn
+	state atomic.Int32
+	armed atomic.Bool // a kick set the connection's read deadline
+}
+
+func (s *Server) track(conn net.Conn) *connState {
+	cs := &connState{conn: conn}
+	cs.state.Store(connBusy)
+	s.connMu.Lock()
+	if s.conns == nil {
+		s.conns = make(map[*connState]struct{})
+	}
+	s.conns[cs] = struct{}{}
+	s.connMu.Unlock()
+	return cs
+}
+
+func (s *Server) untrack(cs *connState) {
+	s.connMu.Lock()
+	delete(s.conns, cs)
+	s.connMu.Unlock()
+}
+
+// kickIdle arms the read deadline of every connection idle between
+// commands, so its handler exits at deadline unless a command arrives
+// first.
+func (s *Server) kickIdle(deadline time.Time) {
+	s.connMu.Lock()
+	conns := make([]*connState, 0, len(s.conns))
+	for cs := range s.conns {
+		conns = append(conns, cs)
+	}
+	s.connMu.Unlock()
+	for _, cs := range conns {
+		cs.kick(deadline)
+	}
+}
+
+// kick arms an idle connection's read deadline; a busy one is left
+// alone.
+func (cs *connState) kick(deadline time.Time) {
+	if !cs.state.CompareAndSwap(connIdle, connKicking) {
+		return
+	}
+	cs.conn.SetReadDeadline(deadline)
+	cs.armed.Store(true)
+	cs.state.Store(connIdle)
+}
+
+// idle marks the handler as waiting for its next command line. It
+// returns false when the connection should close instead (the server
+// is closed); while draining it arms the drain's idle deadline itself,
+// covering a handler that went idle after Shutdown's kick.
+func (s *Server) idle(cs *connState) bool {
+	cs.state.Store(connIdle)
+	if s.isClosed() {
+		return false
+	}
+	if at := s.drainAt.Load(); at != 0 && !cs.armed.Load() {
+		cs.kick(time.Unix(0, at))
+		// A Close that raced the kick above found the connection
+		// kicking and skipped it; it is closed all the same.
+		return !s.isClosed()
+	}
+	return true
+}
+
+// busy marks the handler as serving a command, clearing a kick's read
+// deadline so the command's own reads run unbounded as before.
+func (cs *connState) busy() {
+	for !cs.state.CompareAndSwap(connIdle, connBusy) {
+		runtime.Gosched() // a kick is arming the deadline
+	}
+	if cs.armed.Load() {
+		cs.conn.SetReadDeadline(time.Time{})
+		cs.armed.Store(false)
+	}
+}
+
+func (s *Server) isClosed() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
+	cs := s.track(conn)
+	defer s.untrack(cs)
 	token := s.connSeq.Add(1)
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	defer w.Flush()
 	for {
 		w.Flush()
+		if !s.idle(cs) {
+			return
+		}
 		line, err := r.ReadString('\n')
+		cs.busy()
 		if err != nil {
 			return
 		}
@@ -596,6 +739,11 @@ func (s *Server) cmdMetrics(w *bufio.Writer) {
 			row{"peer.ok", s.fanPeerOK.Load()},
 			row{"peer.errors", s.fanPeerErr.Load()},
 			row{"peer.retries", s.fanRetries.Load()},
+			row{"peer.dials", s.peerDials.Load()},
+			row{"peer.reused", s.peerReused.Load()},
+			row{"peer.stale_redials", s.peerStaleRedials.Load()},
+			row{"fanin.memo_hits", s.memo.hits.Load()},
+			row{"fanin.memo_misses", s.memo.misses.Load()},
 		)
 	}
 	if s.windowed {

@@ -13,6 +13,7 @@
 package window
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -71,6 +72,11 @@ type queryEnt struct {
 	n        uint64
 	segments int
 }
+
+// ErrNothingSummarized is wrapped by queries whose epoch range holds
+// no data: no sealed segment and no live-epoch mass falls inside it.
+// Fan-in readers treat it as "this node contributes nothing".
+var ErrNothingSummarized = errors.New("nothing summarized")
 
 // maxCachedQueries bounds the cover cache; on overflow the cache is
 // reset wholesale (entries are cheap to recompute and the reset keeps
@@ -571,7 +577,7 @@ func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
 			&Segment{Level: 0, From: now, To: now, N: liveN, Frame: liveFrame})
 	}
 	if len(pieces) == 0 {
-		return nil, fmt.Errorf("window: nothing summarized in [%d, %d]", rfrom, rto)
+		return nil, fmt.Errorf("window: %w in [%d, %d]", ErrNothingSummarized, rfrom, rto)
 	}
 	var frame []byte
 	var n uint64

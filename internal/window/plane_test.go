@@ -2,6 +2,7 @@ package window
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -207,9 +208,14 @@ func TestPlaneEmptyEpochs(t *testing.T) {
 	if n, want := ent.N(v), exampleN(ent, 10)+exampleN(ent, 40)+exampleN(ent, 60); n != want {
 		t.Fatalf("N = %d, want %d", n, want)
 	}
-	// A range of only empty epochs has nothing to summarize.
-	if _, err := p.Query(2, 3); err == nil {
-		t.Fatal("query over empty epochs succeeded")
+	// A range of only empty epochs has nothing to summarize, reported
+	// with the typed sentinel and the message text peers see.
+	_, err = p.Query(2, 3)
+	if !errors.Is(err, ErrNothingSummarized) {
+		t.Fatalf("query over empty epochs: got %v, want ErrNothingSummarized", err)
+	}
+	if got, want := err.Error(), "window: nothing summarized in [2, 3]"; got != want {
+		t.Fatalf("error text %q, want %q", got, want)
 	}
 }
 
