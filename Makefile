@@ -1,9 +1,11 @@
-# Standard verify entrypoint: `make check` runs vet, build, the
-# project's own static analysis (sketchlint), the pinned third-party
-# analyzers when present, the race-enabled test suite with and without
-# the sanitize invariant layer, and a short benchmark smoke pass.
+# Standard verify entrypoint: `make check` runs vet (with a gofmt gate),
+# build, the project's own static analysis (sketchlint), the pinned
+# third-party analyzers when present, the race-enabled test suite with
+# and without the sanitize invariant layer, and a short benchmark smoke
+# pass.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Third-party analyzers are pinned here for reproducibility but are
 # NOT installed by this Makefile (CI images bake them in; dev machines
@@ -64,7 +66,15 @@ govulncheck:
 		echo "govulncheck not on PATH; skipping (pinned: $(GOVULNCHECK_VERSION))"; \
 	fi
 
+# vet also gates formatting: any file `gofmt -l .` lists fails the
+# target (and so `make check`).
 vet:
+	@unformatted="$$($(GOFMT) -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . lists unformatted files (run gofmt -w):"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 	$(GO) vet ./...
 
 build:

@@ -1,8 +1,9 @@
 // Command bench measures the per-item and batched ingestion paths of
-// every summary family, the aggregation server's push/pull/merge
-// throughput at 1–16 clients, and mergetree.Parallel's worker scaling,
-// recording everything as JSON so the trajectories can be tracked
-// across commits.
+// every summary family, the served merge path (decode, merge and
+// encode of servebench-shaped mg, quantile and hll frames), the
+// aggregation server's push/pull/merge throughput at 1–16 clients,
+// and mergetree.Parallel's worker scaling, recording everything as
+// JSON so the trajectories can be tracked across commits.
 //
 // Usage:
 //
@@ -151,6 +152,7 @@ type report struct {
 	StreamLen    int               `json:"stream_len"`
 	Families     []familyResult    `json:"families"`
 	Window       *windowReport     `json:"window,omitempty"`
+	Served       []servedPoint     `json:"served,omitempty"`
 	Server       *serverReport     `json:"server,omitempty"`
 	ServerKinds  []kindPoint       `json:"server_kinds,omitempty"`
 	MergeScaling []mergeScalePoint `json:"merge_scaling,omitempty"`
@@ -752,7 +754,7 @@ func main() {
 	out := flag.String("out", "results/bench.json", "output path for the JSON report")
 	benchtime := flag.Duration("benchtime", time.Second, "target time per measurement")
 	serverDur := flag.Duration("serverdur", 300*time.Millisecond, "wall time per server throughput point")
-	familiesOnly := flag.Bool("families-only", false, "measure only the per-family ingest paths (skip server, per-kind and merge-scaling series); used by the bench-regress gate")
+	familiesOnly := flag.Bool("families-only", false, "measure only the gated series: per-family ingest paths, window ladder and served merge (skip server, per-kind, merge-scaling and cluster series); used by the bench-regress gate")
 	flag.Parse()
 
 	stream := gen.NewZipf(streamLen/16, 1.2, 1).Stream(streamLen)
@@ -873,7 +875,7 @@ func main() {
 	}
 
 	rep := report{
-		Schema:     5,
+		Schema:     6,
 		Go:         runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -903,6 +905,15 @@ func main() {
 		os.Exit(1)
 	}
 	rep.Window = win
+
+	// So does the served-merge series: decode, merge and encode of
+	// servebench-shaped frames.
+	served, err := servedSeries()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench: served series:", err)
+		os.Exit(1)
+	}
+	rep.Served = served
 
 	if !*familiesOnly {
 		srv, err := serverWorkloads([]int{1, 2, 4, 8, 16}, *serverDur)

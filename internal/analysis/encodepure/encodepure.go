@@ -124,9 +124,9 @@ func checkCall(pass *analysis.Pass, in *flow.Info, call *ast.CallExpr, rootsAtRe
 	fn := in.Callee(call)
 
 	// In-place mutators applied to receiver-rooted data.
-	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sort" {
+	if fn != nil && flow.IsInPlaceSort(fn) {
 		if len(call.Args) > 0 && rootsAtRecv(call.Args[0]) {
-			pass.Reportf(call.Pos(), "encode path sorts receiver state in place (sort.%s); sort a copy", name)
+			pass.Reportf(call.Pos(), "encode path sorts receiver state in place (%s.%s); sort a copy", fn.Pkg().Path(), name)
 		}
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && (id.Name == "clear" || id.Name == "delete") && fn == nil {

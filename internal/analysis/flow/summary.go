@@ -130,6 +130,21 @@ func (in *Info) PoolPutArg(call *ast.CallExpr) ast.Expr {
 	return nil
 }
 
+// IsInPlaceSort reports whether fn reorders its first argument in
+// place: the sort package's slice sorts and the slices package's
+// Sort/SortFunc/SortStableFunc/Reverse.
+func IsInPlaceSort(fn *types.Func) bool {
+	name := fn.Name()
+	switch pkgPathOf(fn) {
+	case "sort":
+		return name == "Slice" || name == "SliceStable" || name == "Sort" || name == "Stable" ||
+			strings.HasPrefix(name, "Float64s") || strings.HasPrefix(name, "Ints") || strings.HasPrefix(name, "Strings")
+	case "slices":
+		return name == "Sort" || name == "SortFunc" || name == "SortStableFunc" || name == "Reverse"
+	}
+	return false
+}
+
 // buildSummaries computes the package's summary table: local facts
 // first, then a bounded fixpoint folding same-package callee facts
 // into callers.
@@ -391,8 +406,7 @@ func (in *Info) classifyCall(s *Summary, call *ast.CallExpr, paramIdx map[types.
 	}
 
 	// Receiver mutation through stdlib in-place mutators.
-	if fn != nil && pkg == "sort" && (name == "Slice" || name == "SliceStable" || name == "Sort" || name == "Stable" ||
-		strings.HasPrefix(name, "Float64s") || strings.HasPrefix(name, "Ints") || strings.HasPrefix(name, "Strings")) {
+	if fn != nil && IsInPlaceSort(fn) {
 		if len(call.Args) > 0 && rootsAtRecv(call.Args[0]) {
 			s.WritesRecv = true
 		}

@@ -7,9 +7,10 @@
 // mergesum.Decode surface pick it up automatically.
 //
 // A type that deliberately stays out of the catalog (e.g. a variant
-// sharing another family's wire tag) opts out by carrying a
-// "//sketch:unregistered" line in its doc comment, which must go on to
-// say why.
+// sharing another family's wire tag) opts out by ending its doc comment
+// with a "//sketch:unregistered" directive line, after text saying why.
+// (gofmt moves directive lines to the end of a doc comment, so one
+// placed mid-comment leaves the file unformatted.)
 package regcomplete
 
 import (

@@ -4,6 +4,7 @@
 package encodepure_a
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -85,6 +86,26 @@ func (s *sorter) Encode() ([]byte, error) {
 	return nil, nil
 }
 
+// slicesSorter reorders receiver state through the slices package.
+type slicesSorter struct{ keys []uint64 }
+
+func (s *slicesSorter) Encode() ([]byte, error) {
+	slices.Sort(s.keys) // want `encode path sorts receiver state in place \(slices.Sort\); sort a copy`
+	return nil, nil
+}
+
+// sortHelper reaches the in-place sort through a same-package helper.
+type sortHelper struct{ keys []uint64 }
+
+func (s *sortHelper) order() {
+	slices.SortFunc(s.keys, func(a, b uint64) int { return int(a>>1) - int(b>>1) })
+}
+
+func (s *sortHelper) Encode() ([]byte, error) {
+	s.order() // want `encode path calls order, which writes receiver state`
+	return nil, nil
+}
+
 // --- clean idioms ---
 
 // goodCollectSort is the qdigest pattern: collect keys into a local
@@ -97,7 +118,7 @@ func (s *sketch) Encode() ([]byte, error) {
 	for id := range s.counts {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	w.Int(len(ids))
 	for _, id := range ids {
 		w.Uint64(id)

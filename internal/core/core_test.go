@@ -126,31 +126,9 @@ func TestTopCounters(t *testing.T) {
 	}
 }
 
-func TestPadAscending(t *testing.T) {
-	cs := []Counter{{7, 9}, {8, 3}}
-	got := PadAscending(cs, 4)
-	if len(got) != 4 {
-		t.Fatalf("len = %d, want 4", len(got))
-	}
-	if got[0].Count != 0 || got[1].Count != 0 {
-		t.Fatalf("padding not at front: %v", got)
-	}
-	if got[2] != (Counter{8, 3}) || got[3] != (Counter{7, 9}) {
-		t.Fatalf("tail not sorted ascending: %v", got)
-	}
-}
-
-func TestPadAscendingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PadAscending did not panic on overflow")
-		}
-	}()
-	PadAscending(make([]Counter, 3), 2)
-}
-
 // Property: sorting ascending then summing equals summing unsorted, and
-// the ascending order is actually non-decreasing.
+// the ascending order is non-decreasing in count with ties in ascending
+// item order.
 func TestSortCountersAscProperties(t *testing.T) {
 	f := func(items []uint64, counts []uint64) bool {
 		n := len(items)
@@ -167,7 +145,8 @@ func TestSortCountersAscProperties(t *testing.T) {
 			return false
 		}
 		for i := 1; i < len(cs); i++ {
-			if cs[i-1].Count > cs[i].Count {
+			a, b := cs[i-1], cs[i]
+			if a.Count > b.Count || (a.Count == b.Count && a.Item > b.Item) {
 				return false
 			}
 		}

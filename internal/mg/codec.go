@@ -7,18 +7,23 @@ import (
 
 // MarshalBinary encodes the summary in the library's framed wire
 // format (see package codec). It implements encoding.BinaryMarshaler.
-// The payload is built in a pooled, pre-sized buffer: steady-state
-// encoding allocates only the returned frame.
+// The payload is built in a pooled, pre-sized buffer from a pooled,
+// sorted copy of the counters: steady-state encoding allocates only
+// the returned frame.
 func (s *Summary) MarshalBinary() ([]byte, error) {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
+	buf := getCounters()
+	defer putCounters(buf)
+	cs := s.appendCounters(buf.cs)
+	buf.cs = cs
+	core.SortCountersAsc(cs)
 	// Worst-case uvarint sizing: header (k, n, dec, len) plus two
 	// uvarints per counter.
-	w.Grow(4*10 + s.live*2*10)
+	w.Grow(4*10 + len(cs)*2*10)
 	w.Int(s.k)
 	w.Uint64(s.n)
 	w.Uint64(s.dec)
-	cs := s.Counters()
 	w.Int(len(cs))
 	for _, c := range cs {
 		w.Uint64(uint64(c.Item))
@@ -30,7 +35,14 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements
 // encoding.BinaryUnmarshaler.
+//
+// The counters are decoded straight into the receiver's table, which
+// grows only if it is too small, so decoding into a warmed registry
+// scratch allocates nothing. A frame is accepted under the same rules
+// as FromCounters. On error the receiver is left empty with its
+// previous k.
 func (s *Summary) UnmarshalBinary(data []byte) error {
+	s.Reset()
 	payload, err := codec.DecodeFrame(codec.KindMisraGries, data)
 	if err != nil {
 		return err
@@ -40,19 +52,33 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	n := r.Uint64()
 	dec := r.Uint64()
 	m := r.ArrayLen(2)
-	cs := make([]core.Counter, 0, m)
+	// Errors keep the order of a read-everything-then-FromCounters
+	// decode: a malformed payload first, then the header's shape, then
+	// the first bad counter. Counters are inserted only while the frame
+	// can still be accepted.
+	shapeErr := checkShape(k, m)
+	if shapeErr == nil {
+		s.ensure(m)
+	}
+	var counterErr error
 	for i := 0; i < m; i++ {
-		item := core.Item(r.Uint64())
+		item := r.Uint64()
 		count := r.Uint64()
-		cs = append(cs, core.Counter{Item: item, Count: count})
+		if shapeErr == nil && counterErr == nil {
+			counterErr = s.insertChecked(item, count)
+		}
 	}
-	if err := r.Finish(); err != nil {
-		return err
+	err = r.Finish()
+	if err == nil {
+		err = shapeErr
 	}
-	dec2, err := FromCounters(k, n, dec, cs)
+	if err == nil {
+		err = counterErr
+	}
 	if err != nil {
+		s.Reset()
 		return err
 	}
-	*s = *dec2
+	s.k, s.n, s.dec = k, n, dec
 	return nil
 }

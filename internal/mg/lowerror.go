@@ -22,8 +22,15 @@ import (
 //
 // This output satisfies the identical MG bound as Merge (total weight
 // divided by c+1 — the text's Lemma 4.3 shows its total error is never
-// larger than the PODS'12 prune, and usually much smaller), at the same
-// O(c) cost.
+// larger than the PODS'12 prune, and usually much smaller), at the cost
+// of one O(c log c) sort.
+//
+// The merge sorts at most once and allocates nothing once s's table has
+// held c counters. Counts of items s already monitors are added into
+// s's table in place; the rest of other's counters and all of s's are
+// staged in a pooled buffer, sorted, and read through a zero-padding
+// offset instead of a padded copy. s is then rebuilt at its usual size:
+// accumulating the union into s's own table would double it for good.
 func (s *Summary) MergeLowError(other *Summary) error {
 	if other == nil {
 		return core.ErrNilSummary
@@ -32,13 +39,27 @@ func (s *Summary) MergeLowError(other *Summary) error {
 		return core.ErrMismatchedK
 	}
 	c := s.k
-	combined := CombinedCounters(s, other)
+	buf := getCounters()
+	defer putCounters(buf)
+	combined := buf.cs
+	for i, cnt := range other.counts {
+		if cnt == 0 {
+			continue
+		}
+		if j := s.find(other.keys[i]); j >= 0 {
+			s.counts[j] += cnt
+		} else {
+			combined = append(combined, core.Counter{Item: core.Item(other.keys[i]), Count: cnt})
+		}
+	}
+	combined = s.appendCounters(combined)
+	buf.cs = combined
 	s.n += other.n
 	s.dec += other.dec
+	s.clearTable()
 	if len(combined) <= c {
 		// No pruning necessary: the combined summary is exact
-		// relative to its inputs.
-		s.clearTable()
+		// relative to its inputs, and needs no order.
 		s.ensure(len(combined))
 		for _, cc := range combined {
 			s.insertFresh(uint64(cc.Item), cc.Count)
@@ -46,15 +67,24 @@ func (s *Summary) MergeLowError(other *Summary) error {
 		debugAssert(s)
 		return nil
 	}
-	// Pad at the front with zero counters to exactly 2c slots.
-	pad := core.PadAscending(combined, 2*c)
-	// cnt(i) is the 1-based C_i^f accessor over the padded array.
-	cnt := func(i int) uint64 { return pad[i-1].Count }
-	s.clearTable()
+	core.SortCountersAsc(combined)
+	// Conceptually the combined counters are padded at the front with
+	// zero counters to exactly 2c slots; pad is the number of zeros.
+	pad := 2*c - len(combined)
+	if pad < 0 {
+		panic("mg: combined counters exceed 2k")
+	}
+	// cnt(i) is the 1-based C_i^f accessor over the padded sequence.
+	cnt := func(i int) uint64 {
+		if i <= pad {
+			return 0
+		}
+		return combined[i-1-pad].Count
+	}
 	s.ensure(c)
 	base := cnt(c) // C_c, the amount every surviving counter is cut by
 	for j := 1; j <= c; j++ {
-		e := pad[c+j-1].Item
+		e := combined[c+j-1-pad].Item // c+j > pad: never a padding zero
 		var f uint64
 		if j == 1 {
 			f = cnt(c+1) - base

@@ -2,7 +2,6 @@ package mg
 
 import (
 	"repro/internal/core"
-	"repro/internal/registry"
 )
 
 // Merge folds other into s using the PODS'12 algorithm (Agarwal et al.,
@@ -41,43 +40,24 @@ func Merged(a, b *Summary) (*Summary, error) {
 	return out, nil
 }
 
-// combineAccumulator borrows a summary to accumulate pointwise counter
-// sums into, drawn from the family's registry scratch pool (the same
-// sync.Pool the server's decode path recycles summaries through) so
-// repeated merge experiments do not allocate a fresh table each time.
-// release returns it to the pool.
-func combineAccumulator(occ int) (acc *Summary, release func()) {
-	if ent, ok := registry.ByName("mg"); ok {
-		if pooled, ok := ent.GetScratch().(*Summary); ok {
-			pooled.k = 1 // accumulator never prunes; k is irrelevant
-			pooled.Reset()
-			pooled.ensure(occ)
-			return pooled, func() { ent.PutScratch(pooled) }
-		}
-	}
-	return newSized(1, occ), func() {}
-}
-
 // CombinedCounters returns the exact pointwise sum of the two
 // summaries' counters in ascending order — the intermediate multiset S
 // both merge algorithms start from. Exposed for the total-error
-// experiments, which compare each merge's output against it. The
-// accumulation runs in a pooled scratch table; only the returned slice
-// is allocated.
+// experiments, which compare each merge's output against it. Shared
+// items are summed by lookup in the other table, so only the returned
+// slice is allocated.
 func CombinedCounters(a, b *Summary) []core.Counter {
-	acc, release := combineAccumulator(a.live + b.live)
-	defer release()
-	for i, c := range a.counts {
-		if c != 0 {
-			acc.add(core.Item(a.keys[i]), c)
-		}
+	out := a.appendCounters(make([]core.Counter, 0, a.live+b.live))
+	for i := range out {
+		out[i].Count += b.get(out[i].Item)
 	}
 	for i, c := range b.counts {
-		if c != 0 {
-			acc.add(core.Item(b.keys[i]), c)
+		if c != 0 && a.find(b.keys[i]) < 0 {
+			out = append(out, core.Counter{Item: core.Item(b.keys[i]), Count: c})
 		}
 	}
-	return acc.Counters()
+	core.SortCountersAsc(out)
+	return out
 }
 
 // TotalMergeError measures the total error a merge committed relative

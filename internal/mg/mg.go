@@ -34,6 +34,7 @@ package mg
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -181,18 +182,25 @@ func (s *Summary) add(x core.Item, w uint64) {
 
 // get returns x's counter, or 0 if x is not monitored.
 func (s *Summary) get(x core.Item) uint64 {
-	if s.live == 0 {
-		return 0
+	if i := s.find(uint64(x)); i >= 0 {
+		return s.counts[i]
 	}
-	key := uint64(x)
+	return 0
+}
+
+// find returns the table slot holding key, or -1 if key is not
+// monitored.
+func (s *Summary) find(key uint64) int {
+	if s.live == 0 {
+		return -1
+	}
 	i := (key * fibMul) >> s.shift
 	for {
-		c := s.counts[i]
-		if c == 0 {
-			return 0
+		if s.counts[i] == 0 {
+			return -1
 		}
 		if s.keys[i] == key {
-			return c
+			return int(i)
 		}
 		i = (i + 1) & s.mask
 	}
@@ -214,6 +222,39 @@ func (s *Summary) clearTable() {
 	s.live = 0
 }
 
+// appendCounters appends the monitored (item, count) pairs to dst in
+// table slot order.
+func (s *Summary) appendCounters(dst []core.Counter) []core.Counter {
+	for i, c := range s.counts {
+		if c != 0 {
+			dst = append(dst, core.Counter{Item: core.Item(s.keys[i]), Count: c})
+		}
+	}
+	return dst
+}
+
+// counterBuf is pooled counter staging for the served merge and encode
+// paths: the combined counters of a low-error merge and the sorted copy
+// an encode writes out. Pooling the struct pointer (not the slice)
+// keeps Get/Put allocation-free.
+type counterBuf struct{ cs []core.Counter }
+
+// maxPooledCounters caps the capacity a returned buffer may keep (1 MiB
+// of counters): one huge-k merge must not pin its scratch in the pool.
+const maxPooledCounters = 1 << 16
+
+var counterPool = sync.Pool{New: func() any { return new(counterBuf) }}
+
+func getCounters() *counterBuf { return counterPool.Get().(*counterBuf) }
+
+func putCounters(b *counterBuf) {
+	if cap(b.cs) > maxPooledCounters {
+		b.cs = nil
+	}
+	b.cs = b.cs[:0]
+	counterPool.Put(b)
+}
+
 // NewEpsilon returns a summary sized for frequency error at most eps*n,
 // i.e. k = ceil(1/eps) - 1 counters (bound n/(k+1) <= eps*n).
 func NewEpsilon(eps float64) *Summary {
@@ -228,31 +269,49 @@ func NewEpsilon(eps float64) *Summary {
 }
 
 // FromCounters reconstructs a summary from explicit counters, as used
-// by the codec and by tests that replay the paper's worked examples.
-// n is the total summarized weight and dec the accumulated undercount
-// bound. It returns an error if the counters exceed k, repeat an item,
-// or contain a zero count. The table is sized for the given counters
-// (not k), so decoding a frame allocates in proportion to the payload.
+// by tests that replay the paper's worked examples. n is the total
+// summarized weight and dec the accumulated undercount bound. It
+// returns an error if the counters exceed k, repeat an item, or
+// contain a zero count. The table is sized for the given counters
+// (not k).
 func FromCounters(k int, n, dec uint64, cs []core.Counter) (*Summary, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("mg: k must be >= 1, have %d", k)
-	}
-	if len(cs) > k {
-		return nil, fmt.Errorf("mg: %d counters exceed k=%d", len(cs), k)
+	if err := checkShape(k, len(cs)); err != nil {
+		return nil, err
 	}
 	s := newSized(k, len(cs))
 	s.n = n
 	s.dec = dec
 	for _, c := range cs {
-		if c.Count == 0 {
-			return nil, fmt.Errorf("mg: zero count for item %d", c.Item)
+		if err := s.insertChecked(uint64(c.Item), c.Count); err != nil {
+			return nil, err
 		}
-		if s.get(c.Item) != 0 {
-			return nil, fmt.Errorf("mg: duplicate item %d", c.Item)
-		}
-		s.insertFresh(uint64(c.Item), c.Count)
 	}
 	return s, nil
+}
+
+// checkShape validates a counter list's header: k >= 1 and at most k
+// counters.
+func checkShape(k, m int) error {
+	if k < 1 {
+		return fmt.Errorf("mg: k must be >= 1, have %d", k)
+	}
+	if m > k {
+		return fmt.Errorf("mg: %d counters exceed k=%d", m, k)
+	}
+	return nil
+}
+
+// insertChecked inserts an explicit counter, rejecting a zero count or
+// an item the table already holds. The caller has sized the table.
+func (s *Summary) insertChecked(key, count uint64) error {
+	if count == 0 {
+		return fmt.Errorf("mg: zero count for item %d", key)
+	}
+	if s.find(key) >= 0 {
+		return fmt.Errorf("mg: duplicate item %d", key)
+	}
+	s.insertFresh(key, count)
+	return nil
 }
 
 // K returns the counter capacity.
@@ -326,12 +385,7 @@ func (s *Summary) Estimate(x core.Item) core.Estimate {
 // Counters returns the monitored (item, count) pairs in ascending count
 // order (ties by item). The slice is freshly allocated.
 func (s *Summary) Counters() []core.Counter {
-	out := make([]core.Counter, 0, s.live)
-	for i, c := range s.counts {
-		if c != 0 {
-			out = append(out, core.Counter{Item: core.Item(s.keys[i]), Count: c})
-		}
-	}
+	out := s.appendCounters(make([]core.Counter, 0, s.live))
 	core.SortCountersAsc(out)
 	return out
 }

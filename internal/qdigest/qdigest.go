@@ -29,6 +29,7 @@ package qdigest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
@@ -312,7 +313,7 @@ func (d *Digest) MarshalBinary() ([]byte, error) {
 	for id := range d.counts {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	w.Int(len(ids))
 	for _, id := range ids {
 		w.Uint64(id)

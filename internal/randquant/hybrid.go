@@ -24,9 +24,11 @@ import (
 // shape, and mergeability, at the cost of the sample not being
 // exchangeable across re-orderings of the same merge tree.
 //
-//sketch:unregistered — Hybrid shares the randquant wire tag with
-// Summary (a bool payload discriminant selects the variant), so it
-// cannot hold its own registry entry; decode it explicitly.
+// Hybrid shares the randquant wire tag with Summary (a bool payload
+// discriminant selects the variant), so it cannot hold its own registry
+// entry; decode it explicitly.
+//
+//sketch:unregistered
 type Hybrid struct {
 	s   int    // samples per block
 	l   int    // max active block levels above ell

@@ -29,9 +29,10 @@
 package spacesaving
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -462,12 +463,15 @@ func (s *Summary) States() []CounterState {
 	return out
 }
 
+// sortStates sorts states in ascending (count, item) order. Items are
+// unique within every list sorted here, so the order is total and the
+// result does not depend on the sort algorithm.
 func sortStates(cs []CounterState) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Count != cs[j].Count {
-			return cs[i].Count < cs[j].Count
+	slices.SortFunc(cs, func(a, b CounterState) int {
+		if a.Count != b.Count {
+			return cmp.Compare(a.Count, b.Count)
 		}
-		return cs[i].Item < cs[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 }
 
