@@ -5,7 +5,6 @@
 # pass.
 
 GO ?= go
-GOFMT ?= gofmt
 
 # Third-party analyzers are pinned here for reproducibility but are
 # NOT installed by this Makefile (CI images bake them in; dev machines
@@ -66,10 +65,11 @@ govulncheck:
 		echo "govulncheck not on PATH; skipping (pinned: $(GOVULNCHECK_VERSION))"; \
 	fi
 
-# vet also gates formatting: any file `gofmt -l .` lists fails the
-# target (and so `make check`).
+# vet also gates formatting with the selected toolchain's gofmt: any
+# file `gofmt -l .` lists, or a gofmt failure (say, a file it cannot
+# parse), fails the target (and so `make check`).
 vet:
-	@unformatted="$$($(GOFMT) -l .)"; \
+	@unformatted="$$("$$($(GO) env GOROOT)/bin/gofmt" -l .)" || exit 1; \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l . lists unformatted files (run gofmt -w):"; \
 		echo "$$unformatted"; \

@@ -17,8 +17,8 @@ type Summary struct {
 	// (codec.GetBuffer, a GetScratch method, sync.Pool.Get, or a
 	// same-package PoolSource callee). Functions that also return a
 	// func-typed value are excluded: that shape is the borrow/release
-	// pair (combineAccumulator, getCombineMap), whose lifetime is
-	// managed by the returned closure, not the caller's Put.
+	// pair (spacesaving's getCombineMap), whose lifetime is managed by
+	// the returned closure, not the caller's Put.
 	PoolSource bool
 
 	// SinkParams[i]: parameter i is released to a pool on some path

@@ -38,7 +38,8 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 //
 // The counters are decoded straight into the receiver's table, which
 // grows only if it is too small, so decoding into a warmed registry
-// scratch allocates nothing. A frame is accepted under the same rules
+// scratch allocates nothing. A table larger than decodeTableCap(k) is
+// dropped first and rebuilt at the frame's size. A frame is accepted under the same rules
 // as FromCounters. On error the receiver is left empty with its
 // previous k.
 func (s *Summary) UnmarshalBinary(data []byte) error {
@@ -58,6 +59,12 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	// can still be accepted.
 	shapeErr := checkShape(k, m)
 	if shapeErr == nil {
+		if len(s.counts) > decodeTableCap(k) {
+			// The receiver may be a registry scratch that last held a
+			// larger-k frame, and a scratch can become a slot's summary
+			// for good: do not hand that table on to a smaller k.
+			s.keys, s.counts = nil, nil
+		}
 		s.ensure(m)
 	}
 	var counterErr error
@@ -81,4 +88,12 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	}
 	s.k, s.n, s.dec = k, n, dec
 	return nil
+}
+
+// decodeTableCap is the largest table a decode of a k-counter frame
+// keeps: the size a full frame (k counters) needs, which is also the
+// size MergeLowError rebuilds a k-summary at. k is clamped so the size
+// computation cannot overflow; no real table nears the clamp.
+func decodeTableCap(k int) int {
+	return tableSizeFor(min(k, 1<<24))
 }

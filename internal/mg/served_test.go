@@ -123,6 +123,42 @@ func TestMergeLowErrorKeepsTableSize(t *testing.T) {
 	}
 }
 
+// A scratch that decoded a large-k frame must not carry its table into
+// a smaller-k summary: registry scratch is shared by every mg slot and
+// may be adopted as a slot's summary for good.
+func TestDecodeDropsOversizedTable(t *testing.T) {
+	rng := gen.NewRNG(11)
+	large := mustMarshal(t, randomSummary(rng, 4096, 0, 1<<20, 1<<16, 1))
+	small := mustMarshal(t, randomSummary(rng, 256, 0, 1<<16, 4096, 1))
+	var scratch Summary
+	if err := scratch.UnmarshalBinary(large); err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := len(scratch.counts), decodeTableCap(256); got <= limit {
+		t.Fatalf("setup: k=4096 decode left %d slots, not above the k=256 cap %d", got, limit)
+	}
+	if err := scratch.UnmarshalBinary(small); err != nil {
+		t.Fatal(err)
+	}
+	// The size a fresh decode of the frame gets.
+	if got, want := len(scratch.counts), tableSizeFor(scratch.Len()); got != want {
+		t.Fatalf("k=256 decode after k=4096: table has %d slots, want %d", got, want)
+	}
+	if !bytes.Equal(mustMarshal(t, &scratch), small) {
+		t.Fatal("k=256 decode after k=4096 does not re-encode to its frame")
+	}
+	// A table within the cap is kept, also for a frame with fewer
+	// counters: that is what makes a warmed decode allocation-free.
+	sparse := mustMarshal(t, randomSummary(rng, 256, 0, 1<<16, 40, 1))
+	size, before := len(scratch.counts), &scratch.counts[0]
+	if err := scratch.UnmarshalBinary(sparse); err != nil {
+		t.Fatal(err)
+	}
+	if len(scratch.counts) != size || &scratch.counts[0] != before {
+		t.Fatalf("sparse k=256 decode replaced a %d-slot table", size)
+	}
+}
+
 func TestDecodeIntoDirtyScratch(t *testing.T) {
 	rng := gen.NewRNG(9)
 	big := randomSummary(rng, 256, 0, 4096, 20000, 3)
